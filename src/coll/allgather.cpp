@@ -1,7 +1,5 @@
 #include "coll/allgather.hpp"
 
-#include <vector>
-
 #include "coll/bcast.hpp"
 #include "coll/copy.hpp"
 #include "coll/gather_scatter.hpp"
@@ -33,8 +31,8 @@ sim::Task<> allgather_ring(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const auto blk = static_cast<std::size_t>(block);
 
-  copy_bytes(recv.data() + static_cast<std::size_t>(me) * blk, send.data(),
-             blk);
+  copy_bytes(self, recv.data() + static_cast<std::size_t>(me) * blk,
+             send.data(), blk);
   const int right = (me + 1) % P;
   const int left = (me - 1 + P) % P;
   for (int step = 0; step < P - 1; ++step) {
@@ -61,8 +59,8 @@ sim::Task<> allgather_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const auto blk = static_cast<std::size_t>(block);
 
-  copy_bytes(recv.data() + static_cast<std::size_t>(me) * blk, send.data(),
-             blk);
+  copy_bytes(self, recv.data() + static_cast<std::size_t>(me) * blk,
+             send.data(), blk);
   // After round k this rank owns the 2^(k+1)-aligned window containing it.
   for (int mask = 1; mask < P; mask <<= 1) {
     const int partner = me ^ mask;
@@ -97,16 +95,15 @@ sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
   const int node_root = 0;  // lowest comm rank on the node == leader
 
   // Stage 1: intra-node gather of c blocks to the leader.
-  std::vector<std::byte> node_blocks;
+  Scratch node_blocks(self, leader ? static_cast<std::size_t>(c) * blk : 0);
   {
     CollPhase phase(self, "allgather.gather");
-    if (leader) node_blocks.resize(static_cast<std::size_t>(c) * blk);
     co_await gather_binomial(self, node_comm, send, node_blocks, block,
                              node_root);
   }
 
   // Stage 2: leaders exchange node aggregates; non-leaders throttle (§V-B).
-  std::vector<std::byte> gathered;
+  Scratch gathered(self, leader ? recv.size() : 0);
   {
     CollPhase phase(self, "allgather.inter_leader");
     const bool core_level = self.machine().params().core_level_throttling;
@@ -121,7 +118,6 @@ sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
     if (leader) {
       mpi::Comm& leaders = comm.leader_comm();
       if (power && !core_level) co_await throttle_self(self, 4);
-      gathered.resize(recv.size());
       co_await allgather_ring(self, leaders, node_blocks, gathered,
                               static_cast<Bytes>(c) * block);
     }
@@ -143,7 +139,7 @@ sim::Task<> allgather_smp(mpi::Rank& self, mpi::Comm& comm,
     std::span<std::byte> full =
         leader ? std::span<std::byte>(gathered) : recv;
     co_await bcast_intra_node(self, node_comm, full, node_root);
-    if (leader) copy_bytes(recv.data(), gathered.data(), recv.size());
+    if (leader) copy_bytes(self, recv.data(), gathered.data(), recv.size());
   }
 }
 
@@ -168,8 +164,8 @@ sim::Task<> allgatherv_ring(mpi::Rank& self, mpi::Comm& comm,
   PACC_EXPECTS(send.size() ==
                static_cast<std::size_t>(counts[static_cast<std::size_t>(me)]));
 
-  copy_bytes(recv.data() + displs[static_cast<std::size_t>(me)], send.data(),
-             send.size());
+  copy_bytes(self, recv.data() + displs[static_cast<std::size_t>(me)],
+             send.data(), send.size());
   const int right = (me + 1) % P;
   const int left = (me - 1 + P) % P;
   for (int step = 0; step < P - 1; ++step) {

@@ -1,7 +1,5 @@
 #include "coll/allreduce.hpp"
 
-#include <vector>
-
 #include "coll/allgather.hpp"
 #include "coll/bcast.hpp"
 #include "coll/copy.hpp"
@@ -24,16 +22,16 @@ sim::Task<> allreduce_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
   PACC_EXPECTS(me >= 0);
   const int tag = comm.begin_collective(me);
 
-  copy_bytes(recv.data(), send.data(), send.size());
+  copy_bytes(self, recv.data(), send.data(), send.size());
   if (P == 1) co_return;
 
   if (is_pow2(P)) {
-    std::vector<std::byte> incoming(send.size());
+    Scratch incoming(self, send.size());
     for (int mask = 1; mask < P; mask <<= 1) {
       const int partner = me ^ mask;
       co_await self.sendrecv(comm.global_rank(partner), tag, recv,
                              comm.global_rank(partner), tag, incoming);
-      reduce_bytes(op, recv, incoming);
+      reduce_bytes(self, op, recv, incoming);
     }
     co_return;
   }
@@ -53,14 +51,14 @@ sim::Task<> allreduce_rabenseifner(mpi::Rank& self, mpi::Comm& comm,
                        blk_bytes % sizeof(double) == 0,
                    "buffer must split into P double-aligned blocks");
   if (P == 1) {
-    copy_bytes(recv.data(), send.data(), send.size());
+    copy_bytes(self, recv.data(), send.data(), send.size());
     co_return;
   }
   const auto block = static_cast<Bytes>(blk_bytes);
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);
 
-  std::vector<std::byte> my_block(blk_bytes);
+  Scratch my_block(self, blk_bytes);
   co_await reduce_scatter_halving(self, comm, send, my_block, block, op);
   co_await allgather_recursive_doubling(self, comm, my_block, recv, block);
 }
@@ -79,7 +77,7 @@ sim::Task<> allreduce_smp(mpi::Rank& self, mpi::Comm& comm,
 
   // Stage 1: intra-node reduction to the node leader.
   mpi::Comm& node = comm.node_comm(my_node);
-  std::vector<std::byte> node_result(leader ? send.size() : 0);
+  Scratch node_result(self, leader ? send.size() : 0);
   co_await reduce_binomial(self, node, send, node_result, options.op, 0);
 
   // Stage 2: leaders allreduce; everyone else throttles (§V-B).

@@ -1,6 +1,6 @@
 #include "coll/alltoall.hpp"
 
-#include <vector>
+#include <algorithm>
 
 #include "coll/alltoall_power.hpp"
 #include "coll/copy.hpp"
@@ -49,7 +49,7 @@ sim::Task<> alltoall_pairwise(mpi::Rank& self, mpi::Comm& comm,
   mpi::Rank::ActionScope action(self, plan->action);
 
   // Own block moves locally.
-  copy_bytes(block_of(recv, me, block).data(),
+  copy_bytes(self, block_of(recv, me, block).data(),
              block_of(send, me, block).data(),
              static_cast<std::size_t>(block));
 
@@ -85,31 +85,36 @@ sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm,
   mpi::Rank::ActionScope action(self, plan->action);
 
   // Step 1 — local rotation: tmp[i] = block destined to rank (me + i) % P.
-  std::vector<std::byte> tmp(static_cast<std::size_t>(P) * blk);
+  Scratch tmp(self, static_cast<std::size_t>(P) * blk);
   for (int i = 0; i < P; ++i) {
-    copy_bytes(tmp.data() + static_cast<std::size_t>(i) * blk,
+    copy_bytes(self, tmp.data() + static_cast<std::size_t>(i) * blk,
                block_of(send, (me + i) % P, block).data(), blk);
   }
 
   // Step 2 — log rounds. A block at index i still has to travel i hops
   // forward; in round k every block whose index has bit k set moves k hops.
-  std::vector<std::byte> packed;
-  std::vector<std::byte> incoming;
+  std::size_t widest = 0;
+  for (const auto& indices : plan->bruck_rounds) {
+    widest = std::max(widest, indices.size());
+  }
+  Scratch packed(self, widest * blk);
+  Scratch incoming(self, widest * blk);
   int k = 1;
   for (const auto& indices : plan->bruck_rounds) {
-    packed.resize(indices.size() * blk);
     for (std::size_t j = 0; j < indices.size(); ++j) {
-      copy_bytes(packed.data() + j * blk,
+      copy_bytes(self, packed.data() + j * blk,
                  tmp.data() + static_cast<std::size_t>(indices[j]) * blk,
                  blk);
     }
-    incoming.resize(packed.size());
     const int dst = (me + k) % P;
     const int src = (me - k + P) % P;
-    co_await self.sendrecv(comm.global_rank(dst), tag, packed,
-                           comm.global_rank(src), tag, incoming);
+    co_await self.sendrecv(
+        comm.global_rank(dst), tag,
+        std::span<const std::byte>(packed).first(indices.size() * blk),
+        comm.global_rank(src), tag,
+        std::span<std::byte>(incoming).first(indices.size() * blk));
     for (std::size_t j = 0; j < indices.size(); ++j) {
-      copy_bytes(tmp.data() + static_cast<std::size_t>(indices[j]) * blk,
+      copy_bytes(self, tmp.data() + static_cast<std::size_t>(indices[j]) * blk,
                  incoming.data() + j * blk, blk);
     }
     k <<= 1;
@@ -117,7 +122,7 @@ sim::Task<> alltoall_bruck(mpi::Rank& self, mpi::Comm& comm,
 
   // Step 3 — inverse rotation: tmp[i] now holds the block from (me - i).
   for (int i = 0; i < P; ++i) {
-    copy_bytes(block_of(recv, (me - i + P) % P, block).data(),
+    copy_bytes(self, block_of(recv, (me - i + P) % P, block).data(),
                tmp.data() + static_cast<std::size_t>(i) * blk, blk);
   }
 }

@@ -142,7 +142,7 @@ sim::Task<> alltoall_power_aware(mpi::Rank& self, mpi::Comm& comm,
                recv.size() == send.size());
 
   // Own block (guarded: empty spans have null data() when block == 0).
-  copy_bytes(recv.data() + static_cast<std::size_t>(me) * blk,
+  copy_bytes(self, recv.data() + static_cast<std::size_t>(me) * blk,
              send.data() + static_cast<std::size_t>(me) * blk, blk);
 
   ExchangeOps ops;

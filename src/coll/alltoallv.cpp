@@ -55,7 +55,7 @@ sim::Task<> alltoallv_pairwise(mpi::Rank& self, mpi::Comm& comm,
   PACC_EXPECTS_MSG(send_counts[static_cast<std::size_t>(me)] ==
                        recv_counts[static_cast<std::size_t>(me)],
                    "self segment sizes must agree");
-  copy_bytes(recv.data() + rdispl[static_cast<std::size_t>(me)],
+  copy_bytes(self, recv.data() + rdispl[static_cast<std::size_t>(me)],
              send.data() + sdispl[static_cast<std::size_t>(me)],
              static_cast<std::size_t>(send_counts[static_cast<std::size_t>(me)]));
 
@@ -84,7 +84,7 @@ sim::Task<> alltoallv_power_aware(mpi::Rank& self, mpi::Comm& comm,
   const auto sdispl = displacements(send_counts);
   const auto rdispl = displacements(recv_counts);
 
-  copy_bytes(recv.data() + rdispl[static_cast<std::size_t>(me)],
+  copy_bytes(self, recv.data() + rdispl[static_cast<std::size_t>(me)],
              send.data() + sdispl[static_cast<std::size_t>(me)],
              static_cast<std::size_t>(send_counts[static_cast<std::size_t>(me)]));
 

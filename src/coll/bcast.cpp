@@ -78,11 +78,11 @@ sim::Task<> bcast_scatter_allgather(mpi::Rank& self, mpi::Comm& comm,
   const auto padded_size = chunk * static_cast<std::size_t>(P);
 
   // Scatter equal chunks from a padded copy, then ring-allgather them.
-  std::vector<std::byte> padded(padded_size);
+  Scratch padded(self, padded_size);
   if (me == root) {
-    copy_bytes(padded.data(), buf.data(), total);
+    copy_bytes(self, padded.data(), buf.data(), total);
   }
-  std::vector<std::byte> my_chunk(chunk);
+  Scratch my_chunk(self, chunk);
   co_await scatter_binomial(
       self, comm,
       me == root ? std::span<const std::byte>(padded)
@@ -90,7 +90,7 @@ sim::Task<> bcast_scatter_allgather(mpi::Rank& self, mpi::Comm& comm,
       my_chunk, static_cast<Bytes>(chunk), root);
   co_await allgather_ring(self, comm, my_chunk, padded,
                           static_cast<Bytes>(chunk));
-  copy_bytes(buf.data(), padded.data(), total);
+  copy_bytes(self, buf.data(), padded.data(), total);
 }
 
 sim::Task<> bcast_intra_node(mpi::Rank& self, mpi::Comm& node_comm,

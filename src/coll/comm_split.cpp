@@ -12,6 +12,9 @@ namespace pacc::coll {
 sim::Task<mpi::Comm*> comm_split(mpi::Rank& self, mpi::Comm& comm, int color,
                                  int key) {
   PACC_EXPECTS(color >= kUndefinedColor);
+  PACC_EXPECTS_MSG(!self.runtime().params().synthetic_payloads,
+                   "comm_split reads the (color, key) entries it gathers, "
+                   "and synthetic payloads never deliver them");
   const int P = comm.size();
   const int me = comm.comm_rank_of(self.id());
   PACC_EXPECTS(me >= 0);

@@ -15,7 +15,8 @@ inline constexpr int kUndefinedColor = -1;
 /// Collective over `comm`: all members must call with matching order.
 /// Returns the caller's new sub-communicator (or nullptr for
 /// kUndefinedColor). Implemented as an allgather of (color, key) followed
-/// by a deterministic local grouping.
+/// by a deterministic local grouping, so it reads payload contents and
+/// refuses a synthetic-payload runtime.
 sim::Task<mpi::Comm*> comm_split(mpi::Rank& self, mpi::Comm& comm, int color,
                                  int key);
 

@@ -31,33 +31,24 @@ sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const int vr = (me - root + P) % P;
 
-  // tmp holds this rank's subtree in *relative* block order, starting at vr.
-  std::vector<std::byte> tmp;
-  int span_mask = 1;
+  // The subtree rooted at vr ends at its lowest set bit, where its parent
+  // differs; the root's spans everything. tmp holds the subtree in
+  // *relative* block order, starting at vr.
+  const int span_mask = (vr == 0) ? ceil_pow2(P) : (vr & -vr);
+  Scratch tmp(self,
+              static_cast<std::size_t>(subtree_blocks(vr, span_mask, P)) * blk);
 
   if (vr == 0) {
     PACC_EXPECTS(send.size() == static_cast<std::size_t>(P) * blk);
-    tmp.resize(static_cast<std::size_t>(P) * blk);
     for (int i = 0; i < P; ++i) {
       // Relative block i belongs to actual rank (i + root) % P.
-      copy_bytes(tmp.data() + static_cast<std::size_t>(i) * blk,
+      copy_bytes(self, tmp.data() + static_cast<std::size_t>(i) * blk,
                  send.data() + static_cast<std::size_t>((i + root) % P) * blk,
                  blk);
     }
-    span_mask = ceil_pow2(P);
   } else {
-    int mask = 1;
-    while (mask < P) {
-      if ((vr & mask) != 0) {
-        const int parent = ((vr - mask) + root) % P;
-        const int count = subtree_blocks(vr, mask, P);
-        tmp.resize(static_cast<std::size_t>(count) * blk);
-        co_await self.recv(comm.global_rank(parent), tag, tmp);
-        span_mask = mask;
-        break;
-      }
-      mask <<= 1;
-    }
+    const int parent = ((vr - span_mask) + root) % P;
+    co_await self.recv(comm.global_rank(parent), tag, tmp);
   }
 
   // Send phase: hand each child its subtree.
@@ -73,7 +64,7 @@ sim::Task<> scatter_binomial(mpi::Rank& self, mpi::Comm& comm,
     }
   }
 
-  copy_bytes(recv.data(), tmp.data(), blk);
+  copy_bytes(self, recv.data(), tmp.data(), blk);
 }
 
 sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
@@ -90,8 +81,8 @@ sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
 
   // tmp accumulates the subtree rooted at vr in relative block order.
   const int max_span = (vr == 0) ? P : subtree_blocks(vr, vr & -vr, P);
-  std::vector<std::byte> tmp(static_cast<std::size_t>(max_span) * blk);
-  copy_bytes(tmp.data(), send.data(), blk);
+  Scratch tmp(self, static_cast<std::size_t>(max_span) * blk);
+  copy_bytes(self, tmp.data(), send.data(), blk);
 
   int mask = 1;
   while (mask < P) {
@@ -120,7 +111,8 @@ sim::Task<> gather_binomial(mpi::Rank& self, mpi::Comm& comm,
   if (vr == 0) {
     PACC_EXPECTS(recv.size() == static_cast<std::size_t>(P) * blk);
     for (int i = 0; i < P; ++i) {
-      copy_bytes(recv.data() + static_cast<std::size_t>((i + root) % P) * blk,
+      copy_bytes(self,
+                 recv.data() + static_cast<std::size_t>((i + root) % P) * blk,
                  tmp.data() + static_cast<std::size_t>(i) * blk, blk);
     }
   }
@@ -160,7 +152,7 @@ sim::Task<> scatterv_linear(mpi::Rank& self, mpi::Comm& comm,
       const auto segment =
           send.subspan(displs[p], static_cast<std::size_t>(counts[p]));
       if (peer == me) {
-        copy_bytes(recv.data(), segment.data(), segment.size());
+        copy_bytes(self, recv.data(), segment.data(), segment.size());
       } else {
         co_await self.send(comm.global_rank(peer), tag, segment);
       }
@@ -191,7 +183,7 @@ sim::Task<> gatherv_linear(mpi::Rank& self, mpi::Comm& comm,
       const auto segment =
           recv.subspan(displs[p], static_cast<std::size_t>(counts[p]));
       if (peer == me) {
-        copy_bytes(segment.data(), send.data(), send.size());
+        copy_bytes(self, segment.data(), send.data(), send.size());
       } else {
         co_await self.recv(comm.global_rank(peer), tag, segment);
       }

@@ -32,11 +32,16 @@ std::string to_string(ReduceOp op) {
   return "?";
 }
 
-void reduce_bytes(ReduceOp op, std::span<std::byte> accum,
-                  std::span<const std::byte> in) {
+void check_reduce_operands(std::span<const std::byte> accum,
+                           std::span<const std::byte> in) {
   PACC_EXPECTS(accum.size() == in.size());
   PACC_EXPECTS_MSG(accum.size() % sizeof(double) == 0,
                    "reduction buffers hold doubles");
+}
+
+void reduce_bytes(ReduceOp op, std::span<std::byte> accum,
+                  std::span<const std::byte> in) {
+  check_reduce_operands(accum, in);
   auto* a = reinterpret_cast<double*>(accum.data());
   const auto* b = reinterpret_cast<const double*>(in.data());
   const std::size_t n = accum.size() / sizeof(double);

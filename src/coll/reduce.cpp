@@ -1,7 +1,5 @@
 #include "coll/reduce.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/power_scheme.hpp"
 #include "coll/tuner.hpp"
@@ -30,8 +28,8 @@ sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   const int vr = (me - root + P) % P;
 
-  std::vector<std::byte> accum(send.begin(), send.end());
-  std::vector<std::byte> incoming(send.size());
+  Scratch accum(self, send);
+  Scratch incoming(self, send.size());
 
   int mask = 1;
   while (mask < P) {
@@ -40,7 +38,7 @@ sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
       if (child_vr < P) {
         co_await self.recv(comm.global_rank((child_vr + root) % P), tag,
                            incoming);
-        reduce_bytes(op, accum, incoming);
+        reduce_bytes(self, op, accum, incoming);
       }
     } else {
       const int parent = ((vr - mask) + root) % P;
@@ -52,7 +50,7 @@ sim::Task<> reduce_binomial(mpi::Rank& self, mpi::Comm& comm,
 
   if (me == root) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), accum.data(), accum.size());
+    copy_bytes(self, recv.data(), accum.data(), accum.size());
   }
 }
 
@@ -72,8 +70,10 @@ sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
 
   // Stage 1: intra-node reduction to the node leader.
   mpi::Comm& node = comm.node_comm(my_node);
-  std::vector<std::byte> node_result(leader ? send.size() : 0);
+  Scratch node_result(self, leader ? send.size() : 0);
   co_await reduce_binomial(self, node, send, node_result, options.op, 0);
+  // Stage 2 leaves the full reduction on the root's node leader.
+  Scratch leader_result(self, me == root_leader ? send.size() : 0);
 
   // Stage 2: inter-leader reduction; non-leaders throttle meanwhile (§V-B).
   if (power && !leader) {
@@ -91,17 +91,12 @@ sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
     if (power && !self.machine().params().core_level_throttling) {
       co_await throttle_self(self, 4);
     }
-    std::vector<std::byte> leader_result(
-        me == root_leader ? send.size() : 0);
     co_await reduce_binomial(self, leaders, node_result, leader_result,
                              options.op, leader_root);
     if (power) {
       if (self.machine().throttle(self.core()) != hw::ThrottleLevel::kMin) {
         co_await unthrottle_self(self);
       }
-    }
-    if (me == root_leader) {
-      node_result = std::move(leader_result);
     }
   }
 
@@ -117,14 +112,14 @@ sim::Task<> reduce_smp(mpi::Rank& self, mpi::Comm& comm,
   // Stage 3: fix-up hop from the root's node leader to the root.
   if (root != root_leader) {
     if (me == root_leader) {
-      co_await self.send(comm.global_rank(root), tag, node_result);
+      co_await self.send(comm.global_rank(root), tag, leader_result);
     } else if (me == root) {
       PACC_EXPECTS(recv.size() == send.size());
       co_await self.recv(comm.global_rank(root_leader), tag, recv);
     }
   } else if (me == root) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), node_result.data(), node_result.size());
+    copy_bytes(self, recv.data(), leader_result.data(), leader_result.size());
   }
 }
 

@@ -1,7 +1,5 @@
 #include "coll/reduce_scatter.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/gather_scatter.hpp"
 #include "coll/power_scheme.hpp"
@@ -36,8 +34,9 @@ sim::Task<> reduce_scatter_halving(mpi::Rank& self, mpi::Comm& comm,
 
   // accum holds the blocks this rank is still responsible for:
   // the window [lo, lo + span) shrinks by half each round.
-  std::vector<std::byte> accum(send.begin(), send.end());
-  std::vector<std::byte> incoming;
+  Scratch accum(self, send);
+  // The first round exchanges the widest half: P / 2 blocks.
+  Scratch incoming(self, static_cast<std::size_t>(P / 2) * blk);
   int lo = 0;
   int span = P;
 
@@ -51,22 +50,22 @@ sim::Task<> reduce_scatter_halving(mpi::Rank& self, mpi::Comm& comm,
     const int keep_lo = keep_low ? lo : mid;
     const auto half_bytes = static_cast<std::size_t>(span / 2) * blk;
 
-    incoming.resize(half_bytes);
+    const auto in = std::span<std::byte>(incoming).first(half_bytes);
     co_await self.send(
         comm.global_rank(partner), tag,
         std::span<const std::byte>(accum).subspan(
             static_cast<std::size_t>(send_lo) * blk, half_bytes));
-    co_await self.recv(comm.global_rank(partner), tag, incoming);
-    reduce_bytes(op,
+    co_await self.recv(comm.global_rank(partner), tag, in);
+    reduce_bytes(self, op,
                  std::span<std::byte>(accum).subspan(
                      static_cast<std::size_t>(keep_lo) * blk, half_bytes),
-                 incoming);
+                 in);
     lo = keep_lo;
     span /= 2;
   }
   PACC_ASSERT(span == 1 && lo == me);
-  copy_bytes(recv.data(), accum.data() + static_cast<std::size_t>(me) * blk,
-             blk);
+  copy_bytes(self, recv.data(),
+             accum.data() + static_cast<std::size_t>(me) * blk, blk);
 }
 
 sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm,
@@ -84,7 +83,7 @@ sim::Task<> reduce_scatter(mpi::Rank& self, mpi::Comm& comm,
         }
         // Reduce the full vector to rank 0, then scatter the blocks.
         const int me = comm.comm_rank_of(self.id());
-        std::vector<std::byte> reduced(me == 0 ? send.size() : 0);
+        Scratch reduced(self, me == 0 ? send.size() : 0);
         co_await reduce_binomial(self, comm, send, reduced, options.op, 0);
         co_await scatter_binomial(
             self, comm,

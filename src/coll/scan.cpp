@@ -1,7 +1,5 @@
 #include "coll/scan.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/power_scheme.hpp"
 #include "util/expect.hpp"
@@ -20,9 +18,9 @@ sim::Task<> scan_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
 
   // recv accumulates the inclusive prefix; partial the trailing window
   // [me - 2^k + 1, me] that gets forwarded.
-  copy_bytes(recv.data(), send.data(), send.size());
-  std::vector<std::byte> partial(send.begin(), send.end());
-  std::vector<std::byte> incoming(send.size());
+  copy_bytes(self, recv.data(), send.data(), send.size());
+  Scratch partial(self, send);
+  Scratch incoming(self, send.size());
 
   for (int mask = 1; mask < P; mask <<= 1) {
     const int dst = me + mask;
@@ -33,8 +31,8 @@ sim::Task<> scan_recursive_doubling(mpi::Rank& self, mpi::Comm& comm,
     if (src >= 0) {
       co_await self.recv(comm.global_rank(src), tag, incoming);
       // incoming covers [src - 2^k + 1, src] == [me - 2^{k+1} + 1, me - 2^k].
-      reduce_bytes(op, partial, incoming);
-      reduce_bytes(op, recv, incoming);
+      reduce_bytes(self, op, partial, incoming);
+      reduce_bytes(self, op, recv, incoming);
     }
   }
 }

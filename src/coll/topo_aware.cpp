@@ -1,7 +1,5 @@
 #include "coll/topo_aware.hpp"
 
-#include <vector>
-
 #include "coll/copy.hpp"
 #include "coll/gather_scatter.hpp"
 #include "coll/power_scheme.hpp"
@@ -91,7 +89,9 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
 
   // Phase A (inter-rack): the root ships each other rack its contiguous
   // block range, crossing every rack uplink exactly once.
-  std::vector<std::byte> rack_range;
+  Scratch rack_range(self, me != root && i_am_rack_src
+                               ? comm.members_on_rack(my_rack).size() * blk
+                               : 0);
   std::span<const std::byte> rack_data;  // this rack's blocks
   if (me == root) {
     PACC_EXPECTS(send.size() == static_cast<std::size_t>(P) * blk);
@@ -107,15 +107,15 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
     rack_data = send.subspan(
         static_cast<std::size_t>(first_of(mine)) * blk, mine.size() * blk);
   } else if (i_am_rack_src) {
-    const auto& mine = comm.members_on_rack(my_rack);
-    rack_range.resize(mine.size() * blk);
     co_await self.recv(comm.global_rank(root), tag, rack_range);
     rack_data = rack_range;
   }
 
   // Phase B (intra-rack): the rack source feeds the other node sources of
   // its rack.
-  std::vector<std::byte> node_range;
+  Scratch node_range(self, !i_am_rack_src && i_am_node_src
+                               ? comm.members_on_node(my_node).size() * blk
+                               : 0);
   std::span<const std::byte> node_data;  // this node's blocks
   if (i_am_rack_src) {
     const auto& mine = comm.members_on_rack(my_rack);
@@ -135,7 +135,6 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
         static_cast<std::size_t>(first_of(locals) - first_of(mine)) * blk,
         locals.size() * blk);
   } else if (i_am_node_src) {
-    node_range.resize(comm.members_on_node(my_node).size() * blk);
     co_await self.recv(comm.global_rank(roles.rack_src(my_rack)), tag,
                        node_range);
     if (power) co_await maybe_unthrottle(self);
@@ -149,7 +148,7 @@ sim::Task<> scatter_topo_aware(mpi::Rank& self, mpi::Comm& comm,
     for (std::size_t i = 0; i < locals.size(); ++i) {
       const int peer = locals[i];
       if (peer == me) {
-        copy_bytes(recv.data(), node_data.data() + i * blk, blk);
+        copy_bytes(self, recv.data(), node_data.data() + i * blk, blk);
       } else {
         co_await self.send(comm.global_rank(peer), tag,
                            node_data.subspan(i * blk, blk));
@@ -188,14 +187,14 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
   const bool i_am_node_dst = roles.node_src(my_node) == me;
 
   // Phase A (intra-node): locals push their block to the node sink.
-  std::vector<std::byte> node_range;
+  Scratch node_range(
+      self, i_am_node_dst ? comm.members_on_node(my_node).size() * blk : 0);
   if (i_am_node_dst) {
     const auto& locals = comm.members_on_node(my_node);
-    node_range.resize(locals.size() * blk);
     for (std::size_t i = 0; i < locals.size(); ++i) {
       const int peer = locals[i];
       if (peer == me) {
-        copy_bytes(node_range.data() + i * blk, send.data(), blk);
+        copy_bytes(self, node_range.data() + i * blk, send.data(), blk);
       } else {
         co_await self.recv(
             comm.global_rank(peer), tag,
@@ -207,15 +206,15 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
   }
 
   // Phase B (intra-rack): node sinks push node ranges to the rack sink.
-  std::vector<std::byte> rack_range;
+  Scratch rack_range(
+      self, i_am_rack_dst ? comm.members_on_rack(my_rack).size() * blk : 0);
   if (i_am_rack_dst) {
     const auto& mine = comm.members_on_rack(my_rack);
-    rack_range.resize(mine.size() * blk);
     {
       const auto& locals = comm.members_on_node(my_node);
       const auto offset =
           static_cast<std::size_t>(first_of(locals) - first_of(mine)) * blk;
-      copy_bytes(rack_range.data() + offset, node_range.data(),
+      copy_bytes(self, rack_range.data() + offset, node_range.data(),
                  node_range.size());
     }
     for (const int node : comm.nodes()) {
@@ -242,7 +241,8 @@ sim::Task<> gather_topo_aware(mpi::Rank& self, mpi::Comm& comm,
     PACC_EXPECTS(recv.size() == static_cast<std::size_t>(P) * blk);
     {
       const auto& mine = comm.members_on_rack(my_rack);
-      copy_bytes(recv.data() +
+      copy_bytes(self,
+                 recv.data() +
                      static_cast<std::size_t>(first_of(mine)) * blk,
                  rack_range.data(), rack_range.size());
     }

@@ -235,18 +235,17 @@ sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm,
   const int tag = comm.begin_collective(me);
   for (int s = 1; s < segments; ++s) comm.begin_collective(me);
 
-  std::vector<std::byte> accum(send.begin(), send.end());
   if (P == 1) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), accum.data(), accum.size());
+    copy_bytes(self, recv.data(), send.data(), send.size());
     co_return;
   }
+  Scratch accum(self, send);
   const PlanPtr plan =
       get_tree_plan(comm, PlanKind::kReduceTreeSeg, tree, bytes, seg, power,
                     root);
 
-  std::vector<std::byte> incoming(
-      static_cast<std::size_t>(segments <= 1 ? bytes : seg));
+  Scratch incoming(self, static_cast<std::size_t>(segments <= 1 ? bytes : seg));
   std::vector<int> sent(static_cast<std::size_t>(P), 0);
   std::vector<int> rcvd(static_cast<std::size_t>(P), 0);
   ExchangeOps ops;
@@ -261,13 +260,13 @@ sim::Task<> reduce_tree_exec(mpi::Rank& self, mpi::Comm& comm,
     const auto [off, len] = segment_range(bytes, seg, segments, s);
     const auto in = std::span<std::byte>(incoming).first(len);
     co_await self.recv(comm.global_rank(peer), tag + s, in);
-    reduce_bytes(op, std::span<std::byte>(accum).subspan(off, len), in);
+    reduce_bytes(self, op, std::span<std::byte>(accum).subspan(off, len), in);
   };
   co_await run_power_actions(self, comm, *plan, ops);
 
   if (me == root) {
     PACC_EXPECTS(recv.size() == send.size());
-    copy_bytes(recv.data(), accum.data(), accum.size());
+    copy_bytes(self, recv.data(), accum.data(), accum.size());
   }
 }
 

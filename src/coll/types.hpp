@@ -23,6 +23,10 @@ namespace pacc::coll {
 void reduce_bytes(ReduceOp op, std::span<std::byte> accum,
                   std::span<const std::byte> in);
 
+/// reduce_bytes' contract: equal sizes, whole doubles.
+void check_reduce_operands(std::span<const std::byte> accum,
+                           std::span<const std::byte> in);
+
 /// Smallest power of two >= x.
 int ceil_pow2(int x);
 

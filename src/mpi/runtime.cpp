@@ -1,8 +1,12 @@
 #include "mpi/runtime.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
@@ -391,6 +395,29 @@ Runtime::Runtime(sim::Engine& engine, hw::Machine& machine,
 Rank& Runtime::rank(int global_rank) {
   PACC_EXPECTS(global_rank >= 0 && global_rank < physical_size());
   return *ranks_[static_cast<std::size_t>(global_rank)];
+}
+
+std::span<std::byte> Runtime::blind_bytes(std::size_t bytes) {
+  PACC_EXPECTS_MSG(params_.synthetic_payloads,
+                   "blind scratch is only sound when no one reads payloads");
+  if (bytes == 0) return {};
+  const std::size_t largest =
+      blind_.empty() ? 0 : blind_.back().get_deleter().bytes;
+  if (largest < bytes) {
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t size =
+        (std::max(2 * largest, bytes) + page - 1) / page * page;
+    void* base = ::mmap(nullptr, size, PROT_NONE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    PACC_EXPECTS_MSG(base != MAP_FAILED,
+                     "cannot reserve address space for blind scratch");
+    blind_.emplace_back(static_cast<std::byte*>(base), Unmap{size});
+  }
+  return {blind_.back().get(), bytes};
+}
+
+void Runtime::Unmap::operator()(std::byte* base) const {
+  ::munmap(base, bytes);
 }
 
 Comm& Runtime::world() {

@@ -68,11 +68,15 @@ struct RuntimeParams {
   /// the Runtime constructor refuses enabled + kBlocking outright.
   GovernorParams governor;
   /// Ship message sizes without their contents: sends skip the payload
-  /// copy and receives leave the posted buffer untouched. Every simulated
-  /// quantity (timing, energy, traces, fault draws) depends only on sizes,
-  /// so measurement harnesses that never read received bytes get identical
-  /// results minus GiBs of memcpy traffic. Leave off for programs that do
-  /// read what they receive.
+  /// copy and receives leave the posted buffer untouched. The collective
+  /// layer goes content-blind as well (coll/copy.hpp): its scratch buffers
+  /// are views of never-committed address space (blind_bytes), and its
+  /// local copies and reductions do nothing. Every simulated quantity
+  /// (timing, energy, traces, fault draws) depends only on sizes, so
+  /// measurement harnesses that never read received bytes get identical
+  /// results minus GiBs of allocation and memcpy traffic. The contents of
+  /// every output buffer are unspecified. Leave off for programs that do
+  /// read what they receive (coll::comm_split refuses to run without it).
   bool synthetic_payloads = false;
   /// Rank-symmetry collapse (see src/sym/collapse.hpp). The placement
   /// still describes the FULL logical cluster, but only the first
@@ -257,6 +261,14 @@ class Runtime {
   const hw::RankPlacement& placement() const { return placement_; }
   const RuntimeParams& params() const { return params_; }
 
+  /// `bytes` of address space for content-blind collective scratch (only
+  /// under synthetic payloads). The range is reserved PROT_NONE and never
+  /// committed: it costs no resident memory, and any read or write of it
+  /// faults. Calls may return overlapping ranges, since no one touches
+  /// them. A request beyond the largest reservation maps a bigger one and
+  /// keeps the old ones, into which suspended collectives still hold views.
+  std::span<std::byte> blind_bytes(std::size_t bytes);
+
   sim::Engine& engine() { return engine_; }
   hw::Machine& machine() { return machine_; }
   net::FlowNetwork& network() { return network_; }
@@ -385,6 +397,12 @@ class Runtime {
   bool trace_enabled_ = false;
   std::vector<MessageTraceEntry> trace_;
   Comm* world_ = nullptr;
+  /// Unmaps one blind_bytes reservation of `bytes` bytes.
+  struct Unmap {
+    std::size_t bytes = 0;
+    void operator()(std::byte* base) const;
+  };
+  std::vector<std::unique_ptr<std::byte, Unmap>> blind_;  ///< ascending sizes
 
   friend class Rank;
 };

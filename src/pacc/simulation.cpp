@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "coll/plan.hpp"
@@ -200,72 +201,57 @@ struct TimedWindow {
   Joules e1 = 0.0;
 };
 
-/// Per-rank working buffers for one collective benchmark.
+/// The working buffers of one collective benchmark, shared by every rank.
+/// The harness runs under synthetic payloads, where no collective reads or
+/// writes a buffer (coll/copy.hpp), so one uninitialized arena backs both
+/// views and its pages are never touched: at 4096 ranks × 1 MiB blocks it
+/// spans 8 GiB of address space and no resident memory.
 struct Buffers {
-  std::vector<std::byte> send;
-  std::vector<std::byte> recv;
   std::vector<Bytes> send_counts;
   std::vector<Bytes> recv_counts;
-  /// kAlltoall / kAlltoallv: one uninitialized arena backing both views.
-  /// At 4096 ranks × 1 MiB blocks each buffer spans 4 GiB of address
-  /// space; the pure data-movement executors never do arithmetic on the
-  /// contents, so leaving the pages untouched until a rank copies into
-  /// its own slices keeps resident memory bounded by the actual working
-  /// set. Ops that compute on their buffers keep the zeroed vectors.
   std::unique_ptr<std::byte[]> arena;
-  std::span<std::byte> send_view;
-  std::span<std::byte> recv_view;
+  std::span<std::byte> send;
+  std::span<std::byte> recv;
 };
+
+/// The (send, recv) lengths of one rank's buffers for `op`.
+std::pair<std::size_t, std::size_t> buffer_lengths(coll::Op op, std::size_t P,
+                                                   std::size_t m) {
+  switch (op) {
+    case coll::Op::kAlltoall:
+    case coll::Op::kAlltoallv:
+      return {P * m, P * m};
+    case coll::Op::kBcast:
+      return {m, 0};
+    case coll::Op::kReduce:
+    case coll::Op::kAllreduce:
+    case coll::Op::kScan:
+      return {m, m};
+    case coll::Op::kAllgather:
+    case coll::Op::kGather:
+      return {m, P * m};
+    case coll::Op::kScatter:
+    case coll::Op::kReduceScatter:
+      return {P * m, m};
+    case coll::Op::kBarrier:
+      break;
+  }
+  return {0, 0};
+}
 
 Buffers make_buffers(const CollectiveBenchSpec& spec, int ranks) {
   Buffers b;
   const auto P = static_cast<std::size_t>(ranks);
   const Bytes msg = round_to_doubles(spec.message);
-  const auto m = static_cast<std::size_t>(msg);
-  switch (spec.op) {
-    case coll::Op::kAlltoall:
-    case coll::Op::kAlltoallv:
-      if (spec.op == coll::Op::kAlltoallv) {
-        b.send_counts.assign(P, msg);
-        b.recv_counts.assign(P, msg);
-      }
-      b.arena.reset(new std::byte[2 * P * m]);
-      b.send_view = std::span<std::byte>(b.arena.get(), P * m);
-      b.recv_view = std::span<std::byte>(b.arena.get() + P * m, P * m);
-      return b;
-    case coll::Op::kBcast:
-      b.send.resize(m);
-      break;
-    case coll::Op::kReduce:
-    case coll::Op::kAllreduce:
-      b.send.resize(m);
-      b.recv.resize(m);
-      break;
-    case coll::Op::kAllgather:
-      b.send.resize(m);
-      b.recv.resize(P * m);
-      break;
-    case coll::Op::kGather:
-      b.send.resize(m);
-      b.recv.resize(P * m);
-      break;
-    case coll::Op::kScatter:
-      b.send.resize(P * m);
-      b.recv.resize(m);
-      break;
-    case coll::Op::kScan:
-      b.send.resize(m);
-      b.recv.resize(m);
-      break;
-    case coll::Op::kReduceScatter:
-      b.send.resize(P * m);
-      b.recv.resize(m);
-      break;
-    case coll::Op::kBarrier:
-      break;
+  if (spec.op == coll::Op::kAlltoallv) {
+    b.send_counts.assign(P, msg);
+    b.recv_counts.assign(P, msg);
   }
-  b.send_view = b.send;
-  b.recv_view = b.recv;
+  const auto [send, recv] =
+      buffer_lengths(spec.op, P, static_cast<std::size_t>(msg));
+  b.arena.reset(new std::byte[send + recv]);
+  b.send = std::span<std::byte>(b.arena.get(), send);
+  b.recv = std::span<std::byte>(b.arena.get() + send, recv);
   return b;
 }
 
@@ -276,8 +262,8 @@ sim::Task<> run_op_once(mpi::Rank& self, mpi::Comm& comm,
                         const CollectiveBenchSpec& spec, Buffers& b,
                         const coll::AlgoDesc& desc) {
   coll::AlgoCall call;
-  call.send = b.send_view;
-  call.recv = b.recv_view;
+  call.send = b.send;
+  call.recv = b.recv;
   call.send_counts = b.send_counts;
   call.recv_counts = b.recv_counts;
   call.block = round_to_doubles(spec.message);
@@ -368,7 +354,8 @@ CollectiveReport measure_collective(const ClusterConfig& config,
   }
   // The harness never reads received bytes, so the runtime can ship sizes
   // without contents (synthetic payloads) — every simulated quantity
-  // depends only on sizes, and the per-message copy traffic (GiBs per cell
+  // depends only on sizes, and the per-message copy traffic plus the
+  // collectives' scratch allocation, copies and reductions (GiBs per cell
   // at MiB block sizes) dominated wall time.
   ClusterConfig harness_config = config;
   harness_config.synthetic_payloads = true;
@@ -386,10 +373,7 @@ CollectiveReport measure_collective(const ClusterConfig& config,
   Simulation sim(harness_config);
   auto window = std::make_shared<TimedWindow>();
 
-  // One arena shared by every simulated rank, for the same reason: the
-  // simulator is payload-content-blind, so the measurement loop gains
-  // nothing from 64 private copies of up to P·message bytes each. Aliased
-  // self-copies the sharing introduces are guarded in coll::copy_bytes.
+  // One untouched arena shared by every simulated rank (see Buffers).
   Buffers buffers = make_buffers(spec, config.ranks);
 
   auto body = [&sim, &spec, window, &buffers,

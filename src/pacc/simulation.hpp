@@ -85,10 +85,13 @@ struct ClusterConfig {
   /// non-positive budget).
   mpi::GovernorParams governor;
   /// Ship message sizes without contents (see
-  /// mpi::RuntimeParams::synthetic_payloads). measure_collective turns this
-  /// on for its own runs — the harness never reads received bytes — which
-  /// removes the per-message copy traffic that dominated wall time at MiB
-  /// block sizes. Leave off for programs that read what they receive.
+  /// mpi::RuntimeParams::synthetic_payloads). The collectives then skip
+  /// their scratch allocation, local copies and reductions as well, and the
+  /// contents of every output buffer are unspecified. measure_collective
+  /// turns this on for its own runs — the harness never reads received
+  /// bytes — which removes the copy and page-fault traffic that dominated
+  /// wall time at MiB block sizes. Leave off for programs that read what
+  /// they receive.
   bool synthetic_payloads = false;
   /// Build collective plans as historical rank-indexed tables instead of
   /// class-compressed templates (see coll/plan.hpp and

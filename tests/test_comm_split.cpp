@@ -105,5 +105,18 @@ TEST(CommSplit, RepeatedSplitsReuseTheSameComm) {
   EXPECT_EQ(first[0], second[0]);
 }
 
+TEST(CommSplitDeath, RefusesSyntheticPayloads) {
+  // Synthetic payloads never deliver the gathered (color, key) entries, so
+  // a split would silently group ranks by whatever the buffer held.
+  ClusterConfig cfg = test::small_cluster(2, 4, 2);
+  cfg.synthetic_payloads = true;
+  Simulation sim(cfg);
+  auto body = [&](mpi::Rank& self) -> sim::Task<> {
+    mpi::Comm& world = sim.runtime().world();
+    co_await comm_split(self, world, self.id() % 2, 0);
+  };
+  EXPECT_DEATH(run_all(sim, body), "synthetic payloads never deliver them");
+}
+
 }  // namespace
 }  // namespace pacc::coll
