@@ -116,32 +116,20 @@ void build_bcast_binomial(const mpi::Comm& comm, int root, CollPlan& plan) {
 }
 
 /// Whether the comm gets the XOR-structured §V schedule instead of the
-/// historical circle-method one. On fat-tree and dragonfly shapes with
-/// power-of-two node and per-node rank counts, every phase's peer pattern
-/// can be expressed through XOR distances, which commute with the XOR
-/// translations the rank-symmetry collapse uses — so huge fabric
+/// historical circle-method one. On grouped shapes (fat tree, dragonfly)
+/// with power-of-two node and per-node rank counts, every phase's peer
+/// pattern can be expressed through XOR distances, which commute with the
+/// XOR translations the rank-symmetry collapse uses — so huge fabric
 /// communicators can run the proposed scheme collapsed. The flat-switch
 /// testbed keeps the circle tournament byte-identical to the historical
 /// schedule.
 bool power_exchange_is_xor(const mpi::Comm& comm) {
   const auto& shape = comm.runtime().placement().shape;
   const int N = static_cast<int>(comm.nodes().size());
-  return (shape.has_fabric() || shape.dragonfly.enabled()) && is_pow2(N) &&
+  return hw::translation_group(shape).grouped && is_pow2(N) &&
          comm.uniform_ppn() &&
          is_pow2(static_cast<int>(
              comm.members_on_node(comm.nodes().front()).size()));
-}
-
-/// Nodes per top-level translation group of the shape: the outermost
-/// fat-tree level's group, a dragonfly group, or the whole comm on a flat
-/// switch. XOR distances that are multiples of this count pair nodes that
-/// are translation images of each other (the merged §V phase-4 rounds).
-int top_group_nodes(const hw::ClusterShape& shape, int comm_nodes) {
-  if (shape.dragonfly.enabled()) return shape.df_nodes_per_group();
-  if (shape.has_fabric()) {
-    return shape.fabric_nodes_per_group(shape.fabric_levels() - 1);
-  }
-  return comm_nodes;
 }
 
 /// Whether comm ranks decompose as rank = node_index * ppn + local_index
@@ -195,8 +183,11 @@ void build_power_exchange(const mpi::Comm& comm, bool materialized,
   const int P = comm.size();
   const int N = static_cast<int>(comm.nodes().size());
   const bool xor_sched = power_exchange_is_xor(comm);
-  const auto& shape = comm.runtime().placement().shape;
-  const int group_nodes = top_group_nodes(shape, N);
+  // Nodes per top-level translation group: XOR distances that are
+  // multiples of it pair nodes that are translation images of each other
+  // (the merged phase-4 rounds). Only read on the XOR schedule.
+  const int group_nodes =
+      hw::translation_group(comm.runtime().placement().shape).nodes;
   plan.action =
       xor_sched ? sym::CollapseAction::kXor : sym::CollapseAction::kNone;
 

@@ -15,64 +15,12 @@ constexpr double kByteEpsilon = 1e-6;
 
 FlowNetwork::FlowNetwork(sim::Engine& engine, hw::ClusterShape shape,
                          NetworkParams params)
-    : engine_(engine), shape_(shape), params_(params) {
-  PACC_EXPECTS(shape_.valid());
+    : engine_(engine),
+      params_(params),
+      topo_(shape, params.link_bandwidth, params.shm_bandwidth,
+            params.rack_bandwidth) {
   PACC_EXPECTS(params_.link_bandwidth > 0.0 && params_.shm_bandwidth > 0.0);
-  PACC_EXPECTS_MSG(shape_.fabric_levels() <= kMaxFabricLevels,
-                   "at most three fat-tree fabric levels are supported");
-  std::size_t link_count =
-      static_cast<std::size_t>(3 * shape_.nodes + 2 * shape_.racks());
-  fabric_link_base_.reserve(static_cast<std::size_t>(shape_.fabric_levels()));
-  for (int level = 0; level < shape_.fabric_levels(); ++level) {
-    fabric_link_base_.push_back(static_cast<int>(link_count));
-    link_count += static_cast<std::size_t>(2 * shape_.fabric_groups(level));
-  }
-  df_link_base_ = static_cast<int>(link_count);
-  if (shape_.has_dragonfly()) {
-    link_count += static_cast<std::size_t>(2 * shape_.df_routers_total() +
-                                           2 * shape_.df_groups());
-  }
-  link_bandwidth_.assign(link_count, 0.0);
-  for (int n = 0; n < shape_.nodes; ++n) {
-    link_bandwidth_[static_cast<std::size_t>(uplink(n))] =
-        params_.link_bandwidth;
-    link_bandwidth_[static_cast<std::size_t>(downlink(n))] =
-        params_.link_bandwidth;
-    link_bandwidth_[static_cast<std::size_t>(shm_link(n))] =
-        params_.shm_bandwidth;
-  }
-  for (int r = 0; r < shape_.racks(); ++r) {
-    const double bw =
-        rack_layer_enabled() ? params_.rack_bandwidth : params_.link_bandwidth;
-    link_bandwidth_[static_cast<std::size_t>(rack_uplink(r))] = bw;
-    link_bandwidth_[static_cast<std::size_t>(rack_downlink(r))] = bw;
-  }
-  for (int level = 0; level < shape_.fabric_levels(); ++level) {
-    const double bw =
-        shape_.fabric_link_bandwidth(level, params_.link_bandwidth);
-    for (int g = 0; g < shape_.fabric_groups(level); ++g) {
-      link_bandwidth_[static_cast<std::size_t>(fabric_uplink(level, g))] = bw;
-      link_bandwidth_[static_cast<std::size_t>(fabric_downlink(level, g))] =
-          bw;
-    }
-  }
-  if (shape_.has_dragonfly()) {
-    const double local_bw = shape_.df_local_bandwidth(params_.link_bandwidth);
-    const double global_bw =
-        shape_.df_global_bandwidth(params_.link_bandwidth);
-    for (int r = 0; r < shape_.df_routers_total(); ++r) {
-      link_bandwidth_[static_cast<std::size_t>(df_router_uplink(r))] =
-          local_bw;
-      link_bandwidth_[static_cast<std::size_t>(df_router_downlink(r))] =
-          local_bw;
-    }
-    for (int g = 0; g < shape_.df_groups(); ++g) {
-      link_bandwidth_[static_cast<std::size_t>(df_global_uplink(g))] =
-          global_bw;
-      link_bandwidth_[static_cast<std::size_t>(df_global_downlink(g))] =
-          global_bw;
-    }
-  }
+  const auto link_count = static_cast<std::size_t>(topo_.links());
   link_efficiency_.assign(link_count, 1.0);
   link_head_.assign(link_count, kNullFlow);
   link_nflows_.assign(link_count, 0);
@@ -182,96 +130,28 @@ FlowNetwork::FlowHandle FlowNetwork::start_flow(int src_node, int dst_node,
                          wire_multiplier, std::move(on_delivered), via_top);
 }
 
-int FlowNetwork::dragonfly_links(int src_node, int dst_node, bool via_top,
-                                 std::int32_t* out) const {
-  const int sr = shape_.df_router_of(src_node);
-  const int dr = shape_.df_router_of(dst_node);
-  const int sg = shape_.df_group_of(src_node);
-  const int dg = shape_.df_group_of(dst_node);
-  int n = 0;
-  if (sr == dr && !via_top) return 0;  // same router: HCA links only
-  if (sg == dg && !via_top) {
-    // Group-local: one hop over the group's all-to-all router mesh.
-    out[n++] = df_router_uplink(sr);
-    out[n++] = df_router_downlink(dr);
-    return n;
-  }
-  // Cross-group (or the collapse's forced representative path): source
-  // router into the mesh, source group's global link out, destination
-  // group's global link in, destination router out of the mesh.
-  out[n++] = df_router_uplink(sr);
-  out[n++] = df_global_uplink(sg);
-  const int groups = shape_.df_groups();
-  if (shape_.dragonfly.adaptive && !via_top && sg != dg && groups >= 3) {
-    // Valiant detour: land in a deterministic intermediate group and
-    // re-emerge onto the global plane. The intermediate is the first
-    // group after the source that is neither endpoint — deterministic, so
-    // runs stay byte-identical at any job count.
-    int mid = (sg + 1) % groups;
-    while (mid == sg || mid == dg) mid = (mid + 1) % groups;
-    out[n++] = df_global_downlink(mid);
-    out[n++] = df_global_uplink(mid);
-  }
-  out[n++] = df_global_downlink(dg);
-  out[n++] = df_router_downlink(dr);
-  return n;
-}
-
-void FlowNetwork::route_flow(Flow& flow, int src_node, int dst_node,
-                             bool force_loopback, bool via_top) const {
-  if (src_node == dst_node && !force_loopback && !via_top) {
-    flow.links[0] = shm_link(src_node);
-    flow.nlinks = 1;
-    // One core drives this copy; it cannot exceed the per-core copy rate
-    // even when the aggregate memory channel has headroom.
-    flow.rate_cap = params_.shm_per_flow_bandwidth;
-    return;
-  }
-  flow.links[0] = uplink(src_node);
-  flow.links[1] = downlink(dst_node);
-  flow.nlinks = 2;
-  if (shape_.has_dragonfly()) {
-    flow.nlinks = static_cast<std::uint8_t>(
-        2 + dragonfly_links(src_node, dst_node, via_top, flow.links + 2));
-    return;
-  }
-  if (shape_.has_fabric()) {
-    // Climb level by level until the endpoints share a group (or, via_top,
-    // all the way to the core crossbar): each level crossed costs the
-    // source group's uplink and the destination group's downlink.
-    for (int level = 0; level < shape_.fabric_levels(); ++level) {
-      const int sg = shape_.fabric_group_of(src_node, level);
-      const int dg = shape_.fabric_group_of(dst_node, level);
-      if (sg == dg && !via_top) break;
-      flow.links[flow.nlinks++] = fabric_uplink(level, sg);
-      flow.links[flow.nlinks++] = fabric_downlink(level, dg);
-    }
-    return;
-  }
-  const int src_rack = shape_.rack_of(src_node);
-  const int dst_rack = shape_.rack_of(dst_node);
-  if (rack_layer_enabled() && (src_rack != dst_rack || via_top)) {
-    flow.links[2] = rack_uplink(src_rack);
-    flow.links[3] = rack_downlink(dst_rack);
-    flow.nlinks = 4;
-  }
-}
-
 FlowNetwork::FlowHandle FlowNetwork::start_flow_impl(
     int src_node, int dst_node, Bytes bytes, bool force_loopback,
     double wire_multiplier, sim::Callback on_delivered, bool via_top) {
-  PACC_EXPECTS(src_node >= 0 && src_node < shape_.nodes);
-  PACC_EXPECTS(dst_node >= 0 && dst_node < shape_.nodes);
+  PACC_EXPECTS(src_node >= 0 && src_node < topo_.nodes());
+  PACC_EXPECTS(dst_node >= 0 && dst_node < topo_.nodes());
   PACC_EXPECTS(bytes > 0);
   PACC_EXPECTS(wire_multiplier >= 1.0);
-  // Down links never host flows: transfer() refuses them up front, and the
-  // water-filling below relies on every participating link having capacity.
-  PACC_ASSERT(path_up(src_node, dst_node, force_loopback, via_top));
 
   const std::uint32_t slot = alloc_flow();
   Flow& flow = flows_[slot];
+  flow.nlinks = static_cast<std::uint8_t>(
+      topo_.route(src_node, dst_node, force_loopback, via_top, flow.links));
+  // Down links never host flows: transfer() refuses them up front, and the
+  // water-filling below relies on every participating link having capacity.
+  PACC_ASSERT(links_up(flow.links, flow.nlinks));
   flow.rate = 0.0;
-  flow.rate_cap = 0.0;
+  // One core drives an intra-node copy; it cannot exceed the per-core copy
+  // rate even when the aggregate memory channel has headroom.
+  flow.rate_cap =
+      hw::Topology::intra_node(src_node, dst_node, force_loopback, via_top)
+          ? params_.shm_per_flow_bandwidth
+          : 0.0;
   flow.wf_rate = 0.0;
   flow.payload = bytes;
   flow.remaining = static_cast<double>(bytes) * wire_multiplier;
@@ -282,8 +162,6 @@ FlowNetwork::FlowHandle FlowNetwork::start_flow_impl(
   flow.failed_flag = nullptr;
   flow.on_delivered = std::move(on_delivered);
   flow.active = true;
-
-  route_flow(flow, src_node, dst_node, force_loopback, via_top);
 
   link_flow(slot);
   ++active_count_;
@@ -365,18 +243,17 @@ void FlowNetwork::recompute_component(const std::int32_t* seeds, int nseeds) {
   if (comp_flows_.empty()) return;  // e.g. the last flow on a link departed
 
   // Contention penalty: an HCA link serving n flows runs at reduced
-  // efficiency; the shared-memory channel is exempt.
-  const int first_shm_link = 2 * shape_.nodes;
+  // efficiency; the shared-memory channel and aggregation links are exempt.
   for (const std::int32_t link : comp_links_) {
     const auto l = static_cast<std::size_t>(link);
     const auto n = static_cast<int>(link_nflows_[l]);
-    const bool is_shm = link >= first_shm_link;
+    const hw::Topology::Link& info = topo_.link(link);
     const double eff =
-        (!is_shm && n > 1)
+        (info.contended && n > 1)
             ? 1.0 / (1.0 + params_.contention_penalty * (n - 1))
             : 1.0;
     wf_active_[l] = n;
-    residual_[l] = link_bandwidth_[l] * link_efficiency_[l] * eff;
+    residual_[l] = info.bandwidth * link_efficiency_[l] * eff;
   }
 
   // Max–min fairness by progressive filling: repeatedly find the tightest
@@ -593,122 +470,44 @@ void FlowNetwork::on_complete(std::uint32_t slot, std::uint32_t gen) {
 
 // ------------------------------------------------- link state (faults) ----
 
-bool FlowNetwork::path_up(int src_node, int dst_node,
-                          bool force_loopback, bool via_top) const {
-  if (src_node == dst_node && !force_loopback && !via_top) {
-    return true;  // the shared-memory channel never faults
-  }
-  auto up = [this](int link) {
-    return link_efficiency_[static_cast<std::size_t>(link)] > 0.0;
-  };
-  if (!up(uplink(src_node)) || !up(downlink(dst_node))) return false;
-  if (shape_.has_dragonfly()) {
-    std::int32_t links[kMaxLinks - 2];
-    const int n = dragonfly_links(src_node, dst_node, via_top, links);
-    for (int k = 0; k < n; ++k) {
-      if (!up(links[k])) return false;
-    }
-    return true;
-  }
-  if (shape_.has_fabric()) {
-    for (int level = 0; level < shape_.fabric_levels(); ++level) {
-      const int sg = shape_.fabric_group_of(src_node, level);
-      const int dg = shape_.fabric_group_of(dst_node, level);
-      if (sg == dg && !via_top) break;
-      if (!up(fabric_uplink(level, sg)) || !up(fabric_downlink(level, dg))) {
-        return false;
-      }
-    }
-    return true;
-  }
-  if (rack_layer_enabled()) {
-    const int src_rack = shape_.rack_of(src_node);
-    const int dst_rack = shape_.rack_of(dst_node);
-    if ((src_rack != dst_rack || via_top) &&
-        (!up(rack_uplink(src_rack)) || !up(rack_downlink(dst_rack)))) {
+bool FlowNetwork::links_up(const std::int32_t* links, int nlinks) const {
+  for (int k = 0; k < nlinks; ++k) {
+    if (link_efficiency_[static_cast<std::size_t>(links[k])] <= 0.0) {
       return false;
     }
   }
   return true;
 }
 
-void FlowNetwork::set_hca_efficiency(int node, double efficiency) {
-  PACC_EXPECTS(node >= 0 && node < shape_.nodes);
-  set_unit_efficiency(uplink(node), downlink(node), efficiency);
+bool FlowNetwork::path_up(int src_node, int dst_node, bool force_loopback,
+                          bool via_top) const {
+  std::int32_t links[kMaxLinks];
+  return links_up(links, topo_.route(src_node, dst_node, force_loopback,
+                                     via_top, links));
 }
 
-void FlowNetwork::set_rack_efficiency(int rack, double efficiency) {
-  PACC_EXPECTS(rack >= 0 && rack < shape_.racks());
-  set_unit_efficiency(rack_uplink(rack), rack_downlink(rack), efficiency);
+double FlowNetwork::unit_efficiency(int unit) const {
+  PACC_EXPECTS(unit >= 0 && unit < static_cast<int>(topo_.units().size()));
+  const hw::Topology::Unit& u = topo_.units()[static_cast<std::size_t>(unit)];
+  return link_efficiency_[static_cast<std::size_t>(u.up)];
 }
 
-double FlowNetwork::hca_efficiency(int node) const {
-  PACC_EXPECTS(node >= 0 && node < shape_.nodes);
-  return link_efficiency_[static_cast<std::size_t>(uplink(node))];
-}
-
-double FlowNetwork::rack_efficiency(int rack) const {
-  PACC_EXPECTS(rack >= 0 && rack < shape_.racks());
-  return link_efficiency_[static_cast<std::size_t>(rack_uplink(rack))];
-}
-
-void FlowNetwork::set_fabric_efficiency(int level, int group,
-                                        double efficiency) {
-  PACC_EXPECTS(level >= 0 && level < shape_.fabric_levels());
-  PACC_EXPECTS(group >= 0 && group < shape_.fabric_groups(level));
-  set_unit_efficiency(fabric_uplink(level, group),
-                      fabric_downlink(level, group), efficiency);
-}
-
-double FlowNetwork::fabric_efficiency(int level, int group) const {
-  PACC_EXPECTS(level >= 0 && level < shape_.fabric_levels());
-  PACC_EXPECTS(group >= 0 && group < shape_.fabric_groups(level));
-  return link_efficiency_[static_cast<std::size_t>(fabric_uplink(level, group))];
-}
-
-void FlowNetwork::set_dragonfly_router_efficiency(int router,
-                                                  double efficiency) {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(router >= 0 && router < shape_.df_routers_total());
-  set_unit_efficiency(df_router_uplink(router), df_router_downlink(router),
-                      efficiency);
-}
-
-void FlowNetwork::set_dragonfly_global_efficiency(int group,
-                                                  double efficiency) {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(group >= 0 && group < shape_.df_groups());
-  set_unit_efficiency(df_global_uplink(group), df_global_downlink(group),
-                      efficiency);
-}
-
-double FlowNetwork::dragonfly_router_efficiency(int router) const {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(router >= 0 && router < shape_.df_routers_total());
-  return link_efficiency_[static_cast<std::size_t>(df_router_uplink(router))];
-}
-
-double FlowNetwork::dragonfly_global_efficiency(int group) const {
-  PACC_EXPECTS(shape_.has_dragonfly());
-  PACC_EXPECTS(group >= 0 && group < shape_.df_groups());
-  return link_efficiency_[static_cast<std::size_t>(df_global_uplink(group))];
-}
-
-void FlowNetwork::set_unit_efficiency(std::int32_t l1, std::int32_t l2,
-                                      double efficiency) {
+void FlowNetwork::set_unit_efficiency(int unit, double efficiency) {
+  PACC_EXPECTS(unit >= 0 && unit < static_cast<int>(topo_.units().size()));
   PACC_EXPECTS(efficiency >= 0.0 && efficiency <= 1.0);
+  const hw::Topology::Unit& u = topo_.units()[static_cast<std::size_t>(unit)];
   // Settle any rates deferred to the pending zero-delay flush before the
   // preemption below inspects and kills flows.
   flush_dirty();
-  link_efficiency_[static_cast<std::size_t>(l1)] = efficiency;
-  link_efficiency_[static_cast<std::size_t>(l2)] = efficiency;
+  link_efficiency_[static_cast<std::size_t>(u.up)] = efficiency;
+  link_efficiency_[static_cast<std::size_t>(u.down)] = efficiency;
   // Recompute seeds: the unit's own links plus every link of every
   // preempted flow — a departing flow frees bandwidth in components the
   // downed unit itself is not part of. Cold path; allocation is fine.
-  std::vector<std::int32_t> seeds = {l1, l2};
+  std::vector<std::int32_t> seeds = {u.up, u.down};
   if (efficiency <= 0.0) {
-    preempt_link_flows(l1, seeds);
-    preempt_link_flows(l2, seeds);
+    preempt_link_flows(u.up, seeds);
+    preempt_link_flows(u.down, seeds);
   }
   recompute_component(seeds.data(), static_cast<int>(seeds.size()));
 }

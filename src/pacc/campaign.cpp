@@ -121,15 +121,12 @@ RunStatus validate(const SweepCell& cell) {
     // to a status instead of letting one bad cell abort the sweep.
     return RunStatus::error("invalid watchdog thresholds");
   }
-  if (!cell.cluster.fabric.empty() || cell.cluster.dragonfly.enabled()) {
-    hw::ClusterShape shape;
-    shape.nodes = cell.cluster.nodes;
-    shape.nodes_per_rack = cell.cluster.nodes_per_rack;
-    shape.fabric = cell.cluster.fabric;
-    shape.dragonfly = cell.cluster.dragonfly;
-    if (!shape.valid()) {
-      return RunStatus::error("invalid fabric description");
-    }
+  // A fat tree or dragonfly replaces the rack layer outright, so any
+  // nodes_per_rack beside one is an error, not a value to ignore.
+  const hw::ClusterShape shape = cluster_shape(cell.cluster);
+  if ((shape.has_fabric() || shape.has_dragonfly()) &&
+      (cell.cluster.nodes_per_rack != 0 || !shape.valid())) {
+    return RunStatus::error("invalid fabric description");
   }
   return {};
 }

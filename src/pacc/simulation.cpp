@@ -15,17 +15,23 @@
 
 namespace pacc {
 
+hw::ClusterShape cluster_shape(const ClusterConfig& config) {
+  hw::ClusterShape shape = config.machine
+                               ? config.machine->shape
+                               : presets::paper_machine(config.nodes).shape;
+  shape.nodes = config.nodes;
+  if (config.nodes_per_rack > 0) shape.nodes_per_rack = config.nodes_per_rack;
+  shape.fabric = config.fabric;
+  shape.dragonfly = config.dragonfly;
+  return shape;
+}
+
 Simulation::Simulation(const ClusterConfig& config) : config_(config) {
   PACC_EXPECTS(config.nodes >= 1 && config.ranks >= 1);
 
   hw::MachineParams machine_params =
       config.machine.value_or(presets::paper_machine(config.nodes));
-  machine_params.shape.nodes = config.nodes;
-  if (config.nodes_per_rack > 0) {
-    machine_params.shape.nodes_per_rack = config.nodes_per_rack;
-  }
-  machine_params.shape.fabric = config.fabric;
-  machine_params.shape.dragonfly = config.dragonfly;
+  machine_params.shape = cluster_shape(config);
   machine_params.core_level_throttling = config.core_level_throttling;
   const net::NetworkParams network_params =
       config.network.value_or(presets::paper_network());

@@ -260,6 +260,13 @@ class Simulation {
   std::unique_ptr<sim::Watchdog> watchdog_;
 };
 
+/// The cluster shape `config` describes: its machine's shape (the paper
+/// testbed's by default) with the config's node count, fabric and
+/// dragonfly, and its rack layer when nodes_per_rack > 0 (0 keeps the
+/// machine's). Simulation builds this shape; sym::decide and Campaign's
+/// cell validation judge it.
+hw::ClusterShape cluster_shape(const ClusterConfig& config);
+
 /// Rounds up to a whole number of doubles — the size actually dispatched
 /// for a CollectiveBenchSpec::message (reductions operate on doubles).
 /// Exposed because tuned-decision keys (coll/tuner.hpp) must be recorded

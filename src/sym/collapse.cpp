@@ -19,25 +19,21 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 /// plan.cpp's power_exchange_is_xor: if the §V exchange is not applicable
 /// (fewer than 2 nodes, non-2-socket machine, or one empty socket group per
 /// node) the run falls back to per-call DVFS over the pairwise schedule —
-/// equivariant. If it is applicable, the XOR-structured variant (fabric
+/// equivariant. If it is applicable, the XOR-structured variant (grouped
 /// shape, power-of-two nodes and ppn) is equivariant; the flat-switch
 /// circle tournament is not.
-bool proposed_is_equivariant(const ClusterConfig& config) {
-  int sockets = 2;
-  int cores_per_socket = 4;
-  if (config.machine) {
-    sockets = config.machine->shape.sockets_per_node;
-    cores_per_socket = config.machine->shape.cores_per_socket;
-  }
+bool proposed_is_equivariant(const ClusterConfig& config,
+                             const hw::ClusterShape& shape) {
   const int ppn = config.ranks_per_node;
   const bool both_sockets_populated =
-      config.affinity == hw::AffinityPolicy::kBunch ? ppn > cores_per_socket
-                                                    : ppn >= 2;
-  const bool applicable =
-      config.nodes >= 2 && sockets == 2 && both_sockets_populated;
+      config.affinity == hw::AffinityPolicy::kBunch
+          ? ppn > shape.cores_per_socket
+          : ppn >= 2;
+  const bool applicable = config.nodes >= 2 && shape.sockets_per_node == 2 &&
+                          both_sockets_populated;
   if (!applicable) return true;  // falls back to DVFS over pairwise
-  return (!config.fabric.empty() || config.dragonfly.enabled()) &&
-         is_pow2(config.nodes) && is_pow2(ppn);
+  return hw::translation_group(shape).grouped && is_pow2(config.nodes) &&
+         is_pow2(ppn);
 }
 
 }  // namespace
@@ -47,6 +43,7 @@ CollapseDecision decide(const ClusterConfig& config,
   if (config.collapse_multiplicity == 1) {
     return full("collapse disabled by config");
   }
+  const hw::ClusterShape shape = cluster_shape(config);
 
   // --- the run itself must be symmetric ----------------------------------
   switch (spec.op) {
@@ -63,7 +60,8 @@ CollapseDecision decide(const ClusterConfig& config,
       break;  // per-call DVFS is a per-rank uniform action
     case coll::PowerScheme::kProposed:
       // Barrier has no §V variant — it runs DVFS-wrapped dissemination.
-      if (spec.op != coll::Op::kBarrier && !proposed_is_equivariant(config)) {
+      if (spec.op != coll::Op::kBarrier &&
+          !proposed_is_equivariant(config, shape)) {
         return full(
             "proposed scheme's circle tournament is not "
             "translation-equivariant on flat shapes");
@@ -94,32 +92,13 @@ CollapseDecision decide(const ClusterConfig& config,
   }
 
   // --- the cluster must have the quotient structure ----------------------
-  if (config.nodes_per_rack != 0) {
-    return full("legacy rack layer groups nodes asymmetrically at the top");
-  }
+  const hw::TranslationGroup top = hw::translation_group(shape);
+  if (top.nodes == 0) return full(top.refusal);
   if (config.ranks != config.nodes * config.ranks_per_node) {
     return full("partial occupancy breaks node interchangeability");
   }
-  if (config.dragonfly.adaptive) {
-    // The Valiant intermediate group is a function of absolute group ids,
-    // so detour paths differ between a group and its translation image.
-    return full(
-        "adaptive dragonfly routing picks absolute intermediate groups — "
-        "not translation-equivariant; use minimal routing to collapse");
-  }
-  const bool grouped_fabric =
-      !config.fabric.empty() || config.dragonfly.enabled();
-  int nodes_per_group = 1;
-  if (config.dragonfly.enabled()) {
-    nodes_per_group =
-        config.dragonfly.routers_per_group * config.dragonfly.nodes_per_router;
-  } else {
-    for (const hw::FabricLevelSpec& level : config.fabric) {
-      nodes_per_group *= level.group_size;
-    }
-  }
-  const int groups =
-      grouped_fabric ? config.nodes / nodes_per_group : config.nodes;
+  if (top.refusal != nullptr) return full(top.refusal);
+  const int groups = config.nodes / top.nodes;
   if (groups < 2) {
     return full("single top-level group: no classes to merge");
   }
@@ -136,7 +115,7 @@ CollapseDecision decide(const ClusterConfig& config,
 
   // --- faults pin events to named nodes: de-collapse, with blame ---------
   if (config.faults.active()) {
-    const int group_nodes = grouped_fabric ? config.nodes / groups : 1;
+    const int group_nodes = config.nodes / groups;
     CollapseDecision broken = full("fault injection breaks rank symmetry");
     for (int node :
          fault::FaultInjector::straggler_nodes(config.faults, config.nodes)) {

@@ -119,8 +119,10 @@ TEST(FabricNetwork, FlowsClimbOnlyAsManyLevelsAsTheyNeed) {
   net::FlowNetwork net(e, fabric_shape(8, {{2, 1.0}, {2, 2.0}}),
                        flat_params());
   // Killing the TOP-level group 0 links must strand only traffic that has
-  // to reach the core crossbar from nodes 0-3.
-  net.set_fabric_efficiency(1, 0, 0.0);
+  // to reach the core crossbar from nodes 0-3. Fault units: 8 HCAs, then
+  // the 4 level-0 groups, then the 2 level-1 groups.
+  const int top_group0 = 8 + 4;
+  net.set_unit_efficiency(top_group0, 0.0);
   EXPECT_TRUE(net.path_up(0, 1));   // same level-0 group: no fabric at all
   EXPECT_TRUE(net.path_up(0, 2));   // same level-1 group: stops at level 0
   EXPECT_FALSE(net.path_up(0, 4));  // crosses the dead top-level links
@@ -128,7 +130,7 @@ TEST(FabricNetwork, FlowsClimbOnlyAsManyLevelsAsTheyNeed) {
   // via_top forces the full climb even for local traffic — the collapse
   // runtime's stand-in for a cross-group flow.
   EXPECT_FALSE(net.path_up(0, 1, /*force_loopback=*/false, /*via_top=*/true));
-  net.set_fabric_efficiency(1, 0, 1.0);
+  net.set_unit_efficiency(top_group0, 1.0);
   EXPECT_TRUE(net.path_up(0, 4));
   EXPECT_TRUE(net.path_up(0, 1, false, true));
 }

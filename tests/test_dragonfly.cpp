@@ -167,23 +167,26 @@ TEST(DragonflyNetwork, ViaTopForcesTheMinimalCrossGroupPath) {
 TEST(DragonflyNetwork, EfficiencyKnobsStrandOnlyCrossingTraffic) {
   sim::Engine e;
   net::FlowNetwork net(e, df_shape(16, 2, 2), flat_params());
+  // Fault units: 16 HCAs, then the 8 routers, then the 4 global links.
+  const int router1 = 16 + 1;
+  const int global1 = 16 + 8 + 1;
   // Kill group 1's global link: group-local and other-group traffic keep
   // flowing, anything entering or leaving group 1 is stranded.
-  net.set_dragonfly_global_efficiency(1, 0.0);
+  net.set_unit_efficiency(global1, 0.0);
   EXPECT_TRUE(net.path_up(0, 2));    // group-local
   EXPECT_TRUE(net.path_up(0, 12));   // group 0 → group 3
   EXPECT_FALSE(net.path_up(0, 6));   // into group 1
   EXPECT_FALSE(net.path_up(6, 0));   // out of group 1
-  net.set_dragonfly_global_efficiency(1, 1.0);
+  net.set_unit_efficiency(global1, 1.0);
   EXPECT_TRUE(net.path_up(0, 6));
 
   // Kill router 1 (group 0): its mesh hop dies, same-router traffic and
   // other routers' paths survive.
-  net.set_dragonfly_router_efficiency(1, 0.0);
+  net.set_unit_efficiency(router1, 0.0);
   EXPECT_TRUE(net.path_up(0, 1));    // same router, HCA only
   EXPECT_FALSE(net.path_up(0, 2));   // crosses router 1's downlink
   EXPECT_TRUE(net.path_up(4, 6));    // group 1 is untouched
-  net.set_dragonfly_router_efficiency(1, 1.0);
+  net.set_unit_efficiency(router1, 1.0);
   EXPECT_TRUE(net.path_up(0, 2));
 }
 
