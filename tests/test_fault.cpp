@@ -169,6 +169,22 @@ TEST(FaultRecovery, LinkFlapsPreemptFlowsAndRecover) {
   EXPECT_GT(report.faults.link_flaps, 0u);
 }
 
+TEST(FaultRecovery, FatTreeGroupLinksFlap) {
+  // Every fat-tree group's aggregation link pair is a fault unit of its
+  // own: a flapping run records outages on the groups, not only on HCAs.
+  ClusterConfig cfg = small_cluster();
+  cfg.nodes = 4;
+  cfg.ranks = 16;
+  cfg.fabric = {{2, 1.0}};
+  cfg.obs.trace = true;
+  cfg.faults = *FaultSpec::parse("seed=5,flap=2000,down-us=100");
+  const auto report = measure_collective(cfg, alltoall_spec());
+  ASSERT_TRUE(report.status.usable()) << report.status.describe();
+  EXPECT_NE(report.trace_json.find("\"fabric l0 group 1\""),
+            std::string::npos);
+  EXPECT_NE(report.trace_json.find("\"fabric_down\""), std::string::npos);
+}
+
 TEST(FaultDegradation, DoomedTransitionsFallBackSymmetrically) {
   ClusterConfig cfg = small_cluster();
   cfg.faults = *FaultSpec::parse("seed=3,tfail=1");
